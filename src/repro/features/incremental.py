@@ -148,11 +148,14 @@ class DeltaFeatures:
     """The Table 2 vector maintained under structure churn.
 
     The constructor pays one full scan (the same price as a cold
-    extraction); every :meth:`apply` thereafter is O(delta): the degree
-    array gets two scatter-adds and the diagonal census a handful of
-    dictionary bumps.  No re-scan of the matrix ever happens, which is
-    the whole point — the serving layer keeps one of these per live
-    structure and re-decides formats from it at delta prices.
+    extraction).  Every :meth:`apply` thereafter costs O(edits): two
+    scatter-adds on the degree array, plus one dictionary bump per
+    distinct diagonal offset the edits touch, which also moves the
+    running Ndiags and true-diagonal counts.  :meth:`structure_snapshot`
+    reads those counters and makes two O(m) vectorized passes over the
+    degree array (max and variance); nothing walks the diagonal census
+    or re-scans the matrix.  The serving layer keeps one of these per
+    live structure and re-decides formats from it at delta prices.
     """
 
     def __init__(self, matrix: CSRMatrix) -> None:
@@ -161,6 +164,8 @@ class DeltaFeatures:
         self._degrees = matrix.row_degrees().astype(INDEX_DTYPE, copy=True)
         self._nnz = int(matrix.nnz)
         self._diag_counts: Dict[int, int] = {}
+        self._ndiags = 0
+        self._n_true = 0
         if matrix.nnz:
             row_of = np.repeat(
                 np.arange(matrix.n_rows, dtype=INDEX_DTYPE),
@@ -172,6 +177,12 @@ class DeltaFeatures:
             self._diag_counts = dict(
                 zip(offsets.tolist(), counts.tolist())
             )
+            lengths = np.minimum(m, n - offsets) - np.maximum(0, -offsets)
+            occupancy = counts / np.maximum(lengths, 1)
+            self._ndiags = int(offsets.shape[0])
+            self._n_true = int(
+                np.count_nonzero(occupancy >= TRUE_DIAGONAL_THRESHOLD)
+            )
 
     @property
     def nnz(self) -> int:
@@ -182,35 +193,57 @@ class DeltaFeatures:
         return self._shape
 
     def apply(self, effect: DeltaEffect) -> None:
-        """Fold one delta's effect in — O(len(effect)) work."""
+        """Fold one delta's effect in — O(len(effect)) work.
+
+        A corrupt effect (wrong shape, or removing entries that are not
+        there) raises :class:`ValueError` before anything changes.
+        """
         if tuple(effect.shape) != self._shape:
             raise ValueError(
                 f"delta effect for shape {effect.shape} applied to "
                 f"features of shape {self._shape}"
             )
-        if effect.removed_rows.size:
-            np.subtract.at(self._degrees, effect.removed_rows, 1)
-            self._bump(effect.removed_offsets(), -1)
-            self._nnz -= int(effect.removed_rows.shape[0])
-        if effect.added_rows.size:
-            np.add.at(self._degrees, effect.added_rows, 1)
-            self._bump(effect.added_offsets(), +1)
-            self._nnz += int(effect.added_rows.shape[0])
-        if self._degrees.size and int(self._degrees.min()) < 0:
-            raise ValueError("delta effect drove a row degree negative")
-
-    def _bump(self, offsets: np.ndarray, sign: int) -> None:
-        uniq, counts = np.unique(offsets, return_counts=True)
-        for off, cnt in zip(uniq.tolist(), counts.tolist()):
-            total = self._diag_counts.get(off, 0) + sign * cnt
-            if total > 0:
-                self._diag_counts[off] = total
-            elif total == 0:
-                self._diag_counts.pop(off, None)
-            else:
+        removed = self._census_moves(effect.removed_offsets(), -1)
+        for off, _before, after in removed:
+            if after < 0:
                 raise ValueError(
                     f"diagonal census for offset {off} went negative"
                 )
+        if effect.removed_rows.size:
+            rows, counts = np.unique(effect.removed_rows, return_counts=True)
+            if np.any(self._degrees[rows] < counts):
+                raise ValueError("delta effect drove a row degree negative")
+            np.subtract.at(self._degrees, effect.removed_rows, 1)
+            self._bump(removed)
+            self._nnz -= int(effect.removed_rows.shape[0])
+        if effect.added_rows.size:
+            np.add.at(self._degrees, effect.added_rows, 1)
+            self._bump(self._census_moves(effect.added_offsets(), +1))
+            self._nnz += int(effect.added_rows.shape[0])
+
+    def _census_moves(self, offsets: np.ndarray, sign: int) -> list:
+        """``(offset, count before, count after)`` per distinct offset."""
+        uniq, counts = np.unique(offsets, return_counts=True)
+        moves = []
+        for off, cnt in zip(uniq.tolist(), counts.tolist()):
+            before = self._diag_counts.get(off, 0)
+            moves.append((off, before, before + sign * cnt))
+        return moves
+
+    def _bump(self, moves: list) -> None:
+        """Commit census moves, keeping Ndiags and the true-diagonal
+        count current with the extractor's per-offset occupancy test."""
+        m, n = self._shape
+        for off, before, after in moves:
+            length = max(min(m, n - off) - max(0, -off), 1)
+            self._ndiags += (after > 0) - (before > 0)
+            self._n_true += (
+                after / length >= TRUE_DIAGONAL_THRESHOLD
+            ) - (before / length >= TRUE_DIAGONAL_THRESHOLD)
+            if after:
+                self._diag_counts[off] = after
+            else:
+                self._diag_counts.pop(off, None)
 
     def structure_snapshot(self) -> dict:
         """The step-one dict, formula-for-formula identical to
@@ -225,7 +258,7 @@ class DeltaFeatures:
         max_rd = int(degrees.max()) if degrees.size else 0
         var_rd = gini_like_variance(degrees, aver_rd)
 
-        ndiags, n_true = self._diagonal_census()
+        ndiags, n_true = self._ndiags, self._n_true
         ntdiags_ratio = (n_true / ndiags) if ndiags else 0.0
 
         er_dia = nnz / (ndiags * m) if ndiags else 1.0
@@ -243,25 +276,6 @@ class DeltaFeatures:
             "er_dia": float(er_dia),
             "er_ell": float(er_ell),
         }
-
-    def _diagonal_census(self) -> tuple:
-        if not self._diag_counts:
-            return 0, 0
-        m, n = self._shape
-        offsets = np.fromiter(
-            sorted(self._diag_counts), dtype=np.int64,
-            count=len(self._diag_counts),
-        )
-        counts = np.fromiter(
-            (self._diag_counts[int(k)] for k in offsets), dtype=np.int64,
-            count=offsets.shape[0],
-        )
-        lengths = np.minimum(m, n - offsets) - np.maximum(0, -offsets)
-        occupancy = counts / np.maximum(lengths, 1)
-        n_true = int(
-            np.count_nonzero(occupancy >= TRUE_DIAGONAL_THRESHOLD)
-        )
-        return int(offsets.shape[0]), n_true
 
     def powerlaw(self) -> float:
         """The step-two R from the maintained degree array — the same

@@ -92,7 +92,15 @@ def csr_to_dia(
     Raises :class:`ConversionError` when ``num_diags * n_rows`` exceeds
     ``fill_budget * nnz`` (pass ``fill_budget=None`` to disable the guard).
     """
-    offsets = matrix.diagonal_offsets()
+    if matrix.nnz:
+        row_of = np.repeat(
+            np.arange(matrix.n_rows, dtype=INDEX_DTYPE), matrix.row_degrees()
+        )
+        diag_of = matrix.indices - row_of
+        offsets, counts = np.unique(diag_of, return_counts=True)
+    else:
+        offsets = np.zeros(0, dtype=INDEX_DTYPE)
+        counts = np.zeros(0, dtype=INDEX_DTYPE)
     num_diags = int(offsets.shape[0])
     padded = num_diags * matrix.n_rows
     if fill_budget is not None and matrix.nnz and padded > fill_budget * matrix.nnz:
@@ -103,13 +111,9 @@ def csr_to_dia(
         )
     data = np.zeros((max(num_diags, 0), matrix.n_rows), dtype=matrix.dtype)
     if matrix.nnz:
-        row_of = np.repeat(
-            np.arange(matrix.n_rows, dtype=INDEX_DTYPE), matrix.row_degrees()
-        )
-        diag_of = matrix.indices - row_of
         diag_slot = np.searchsorted(offsets, diag_of)
         data[diag_slot, row_of] = matrix.data
-    dia = DIAMatrix(offsets, data, matrix.shape)
+    dia = DIAMatrix(offsets, data, matrix.shape, entry_counts=counts)
     cost = ConversionCost(
         FormatName.CSR,
         FormatName.DIA,

@@ -24,7 +24,7 @@ Two invariants anchor everything downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -126,6 +126,17 @@ class DeltaEffect:
             np.int64
         )
 
+    def inverse(self) -> "DeltaEffect":
+        """The effect that undoes this one (added and removed swapped;
+        value updates carry no structure, so they stay as they are)."""
+        return replace(
+            self,
+            added_rows=self.removed_rows,
+            added_cols=self.removed_cols,
+            removed_rows=self.added_rows,
+            removed_cols=self.added_cols,
+        )
+
     def touched_rows(self) -> np.ndarray:
         """Sorted distinct rows whose stored content changed in any way."""
         return np.unique(
@@ -140,11 +151,15 @@ def apply_delta(
 ) -> Tuple[CSRMatrix, DeltaEffect]:
     """Splice a delta into a canonical CSR matrix without re-sorting it.
 
-    The base matrix's entries are already sorted by ``row * n + col``, so
-    deletions are binary searches, insertions are one sort over the delta
-    alone plus an :func:`np.insert` splice, and the untouched entries are
-    carried over byte-for-byte.  Cost is ``O(delta log delta + nnz)``
-    array traffic with no Python-level loop.
+    Only the rows the delta names are searched: their stored entries are
+    found through ``ptr`` and keyed ``row * n + col`` (already sorted,
+    since the rows are canonical), so deletions, collisions and insert
+    points are binary searches over those rows alone.  The untouched
+    entries are carried over byte-for-byte through one-byte masks, and
+    ``ptr`` shifts by the per-row count changes.  Work is ``O(delta log
+    delta + touched-row entries)`` plus that masked copy and the
+    ``O(m)`` pointer shift; no ``nnz``-length key or index array is
+    built, so the transient peak stays below the new matrix's own size.
     """
     m, n = matrix.shape
     ins_rows = np.asarray(delta.insert_rows, dtype=INDEX_DTYPE)
@@ -174,63 +189,138 @@ def apply_delta(
                             del_rows, del_cols)
 
 
+def _row_entries(
+    matrix: CSRMatrix, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Keys, storage positions and per-row start offsets of the entries
+    stored in ``rows`` (sorted, distinct).
+
+    ``keys`` is ``row * n + col`` for every entry of those rows in
+    storage order — ascending, because the rows are sorted and each row
+    is canonical — and ``pos[i]`` is where entry ``i`` sits in
+    ``indices``/``data``.  ``local_start[j]`` is where row ``rows[j]``
+    begins within ``keys``.
+    """
+    starts = matrix.ptr[rows]
+    degrees = matrix.ptr[rows + 1] - starts
+    local_start = np.cumsum(degrees) - degrees
+    pos = np.repeat(starts - local_start, degrees) + np.arange(
+        int(degrees.sum()), dtype=INDEX_DTYPE
+    )
+    keys = np.repeat(rows * np.int64(matrix.n_cols), degrees) + (
+        matrix.indices[pos]
+    )
+    return keys, pos, local_start
+
+
+def _lookup(
+    keys: np.ndarray, want: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pos, hit)``: where each of ``want`` would sit in sorted ``keys``
+    and whether it is actually there."""
+    pos = np.searchsorted(keys, want)
+    hit = np.zeros(want.shape[0], dtype=bool)
+    in_range = pos < keys.shape[0]
+    hit[in_range] = keys[pos[in_range]] == want[in_range]
+    return pos, hit
+
+
+def _splice(
+    old: np.ndarray,
+    dropped: np.ndarray,
+    before: np.ndarray,
+    inserted: np.ndarray,
+) -> np.ndarray:
+    """A new array: ``old`` without the positions ``dropped``, and with
+    ``inserted[k]`` in front of old position ``before[k]`` (both
+    ascending).
+
+    The masks are one byte per entry; the only other full-width
+    allocation besides the result is the compacted survivors, and only
+    when entries are both dropped and inserted.
+    """
+    kept = old
+    if dropped.size:
+        keep = np.ones(old.shape[0], dtype=bool)
+        keep[dropped] = False
+        kept = old[keep]
+    if not before.size:
+        return old.copy() if kept is old else kept
+    # Final positions: shifted back by the drops in front, forward by
+    # the earlier inserts.
+    at = (
+        before
+        - np.searchsorted(dropped, before)
+        + np.arange(before.shape[0])
+    )
+    out = np.empty(kept.shape[0] + at.shape[0], dtype=old.dtype)
+    slot = np.ones(out.shape[0], dtype=bool)
+    slot[at] = False
+    out[at] = inserted
+    out[slot] = kept
+    return out
+
+
 def _apply_delta(matrix, ins_rows, ins_cols, ins_vals, del_rows, del_cols):
     m, n = matrix.shape
     span = np.int64(n)
-    row_of = np.repeat(
-        np.arange(m, dtype=INDEX_DTYPE), matrix.row_degrees()
-    )
-    old_keys = row_of.astype(np.int64) * span + matrix.indices.astype(np.int64)
+    del_keys = np.unique(del_rows.astype(np.int64) * span + del_cols)
+    ins_keys = ins_rows.astype(np.int64) * span + ins_cols
+    uniq_ins, inverse = np.unique(ins_keys, return_inverse=True)
+    summed = np.zeros(uniq_ins.shape[0], dtype=matrix.dtype)
+    np.add.at(summed, inverse, ins_vals)
+
+    # -- the touched rows' stored entries, found through ptr -------------
+    rows = np.unique(np.concatenate([del_keys // span, uniq_ins // span]))
+    keys, pos, local_start = _row_entries(matrix, rows)
 
     # -- deletions: binary-search each (deduplicated) coordinate ----------
-    del_keys = np.unique(del_rows.astype(np.int64) * span + del_cols)
-    pos = np.searchsorted(old_keys, del_keys)
-    valid = (pos < old_keys.shape[0]) & (old_keys[np.minimum(
-        pos, max(old_keys.shape[0] - 1, 0)
-    )] == del_keys) if old_keys.size else np.zeros(del_keys.shape[0], bool)
+    dpos, valid = _lookup(keys, del_keys)
     if not np.all(valid):
         missing = del_keys[~valid][0] if del_keys.size else -1
         raise FormatError(
             f"delete targets a missing entry at "
             f"(row={int(missing // span)}, col={int(missing % span)})"
         )
-    keep = np.ones(old_keys.shape[0], dtype=bool)
-    keep[pos] = False
-    kept_keys = old_keys[keep]
-    kept_vals = matrix.data[keep]
+    dropped = pos[dpos]  # ascending: keys and positions sort together
+    keep = np.ones(keys.shape[0], dtype=bool)
+    keep[dpos] = False
+    kept_keys = keys[keep]
+    kept_pos = pos[keep]
 
-    # -- insertions: sum duplicates among themselves, then merge ----------
-    ins_keys = ins_rows.astype(np.int64) * span + ins_cols
-    uniq_ins, inverse = np.unique(ins_keys, return_inverse=True)
-    summed = np.zeros(uniq_ins.shape[0], dtype=matrix.dtype)
-    np.add.at(summed, inverse, ins_vals)
-
-    cpos = np.searchsorted(kept_keys, uniq_ins)
-    collide = np.zeros(uniq_ins.shape[0], dtype=bool)
-    in_range = cpos < kept_keys.shape[0]
-    collide[in_range] = kept_keys[cpos[in_range]] == uniq_ins[in_range]
-
-    new_vals = kept_vals.copy()
-    new_vals[cpos[collide]] += summed[collide]
+    # -- insertions: duplicates already summed; collide or splice ---------
+    cpos, collide = _lookup(kept_keys, uniq_ins)
+    survivor = kept_pos[cpos[collide]]
 
     fresh_keys = uniq_ins[~collide]
     fresh_vals = summed[~collide]
-    splice = np.searchsorted(kept_keys, fresh_keys)
-    final_keys = np.insert(kept_keys, splice, fresh_keys)
-    final_vals = np.insert(new_vals, splice, fresh_vals)
+    fresh_rows = fresh_keys // span
+    # Old storage position each fresh entry goes in front of: its rank
+    # among its own row's entries (deleted ones included), from the row
+    # start in ``ptr``.
+    local = np.searchsorted(keys, fresh_keys) - local_start[
+        np.searchsorted(rows, fresh_rows)
+    ]
+    before = matrix.ptr[fresh_rows] + local
 
-    final_rows = (final_keys // span).astype(INDEX_DTYPE)
-    final_cols = (final_keys % span).astype(INDEX_DTYPE)
-    ptr = np.zeros(m + 1, dtype=INDEX_DTYPE)
-    np.cumsum(
-        np.bincount(final_rows, minlength=m).astype(INDEX_DTYPE),
-        out=ptr[1:],
-    )
-    new_csr = CSRMatrix._from_validated(ptr, final_cols, final_vals, (m, n))
+    indices = _splice(matrix.indices, dropped, before, fresh_keys % span)
+    data = _splice(matrix.data, dropped, before, fresh_vals)
+    # Collisions sum into their survivors, found at their new positions:
+    # shifted back by the drops and forward by the inserts in front.
+    data[
+        survivor
+        - np.searchsorted(dropped, survivor)
+        + np.searchsorted(before, survivor, side="right")
+    ] += summed[collide]
+    change = np.zeros(m + 1, dtype=INDEX_DTYPE)
+    np.subtract.at(change, del_keys // span + 1, 1)
+    np.add.at(change, fresh_rows + 1, 1)
+    ptr = matrix.ptr + np.cumsum(change)
+    new_csr = CSRMatrix._from_validated(ptr, indices, data, (m, n))
 
     effect = DeltaEffect(
         shape=(m, n),
-        added_rows=(fresh_keys // span).astype(INDEX_DTYPE),
+        added_rows=fresh_rows.astype(INDEX_DTYPE),
         added_cols=(fresh_keys % span).astype(INDEX_DTYPE),
         removed_rows=(del_keys // span).astype(INDEX_DTYPE),
         removed_cols=(del_keys % span).astype(INDEX_DTYPE),
@@ -327,8 +417,31 @@ def _patch_dia(
     operand: DIAMatrix, new_csr: CSRMatrix, effect: DeltaEffect
 ) -> Optional[DIAMatrix]:
     """Overwrite only the touched coordinates; None when the diagonal set
-    changed (a vanished or newborn diagonal reshapes the dense store)."""
-    if not np.array_equal(new_csr.diagonal_offsets(), operand.offsets):
+    changed (a vanished or newborn diagonal reshapes the dense store) or
+    the operand carries no per-diagonal entry counts to prove it did not.
+
+    The proof is the conversion's census moved by the effect: an added
+    entry on an unstored diagonal is a newborn one, and a count that
+    reaches zero is a vanished one.  Final values come from the new CSR's
+    touched rows alone (0 where an entry vanished).
+    """
+    counts = operand.entry_counts
+    if counts is None:
+        return None
+    offsets = operand.offsets
+    added_slot, known = _lookup(offsets, effect.added_offsets())
+    if not np.all(known):
+        return None
+    removed_slot, known = _lookup(offsets, effect.removed_offsets())
+    if not np.all(known):
+        return None
+    k = offsets.shape[0]
+    new_counts = (
+        counts
+        + np.bincount(added_slot, minlength=k)
+        - np.bincount(removed_slot, minlength=k)
+    )
+    if k and int(new_counts.min()) <= 0:
         return None
     rows = np.concatenate(
         [effect.added_rows, effect.removed_rows, effect.updated_rows]
@@ -338,29 +451,18 @@ def _patch_dia(
     )
     data = operand.data.copy()
     if rows.size:
-        diag_of = cols.astype(np.int64) - rows.astype(np.int64)
-        diag_slot = np.searchsorted(operand.offsets, diag_of)
-        # Final value at each touched coordinate: look it up in the new
-        # CSR (0 when the entry vanished).  Removed coordinates may not
-        # exist any more, so the lookup masks on an exact key match.
-        span = np.int64(new_csr.n_cols)
-        row_of = np.repeat(
-            np.arange(new_csr.n_rows, dtype=INDEX_DTYPE),
-            new_csr.row_degrees(),
+        diag_slot = np.searchsorted(
+            offsets, cols.astype(np.int64) - rows.astype(np.int64)
         )
-        keys = row_of.astype(np.int64) * span + new_csr.indices.astype(
-            np.int64
+        keys, pos, _ = _row_entries(new_csr, effect.touched_rows())
+        at, hit = _lookup(
+            keys, rows.astype(np.int64) * np.int64(new_csr.n_cols) + cols
         )
-        want = rows.astype(np.int64) * span + cols.astype(np.int64)
-        pos = np.searchsorted(keys, want)
-        values = np.zeros(want.shape[0], dtype=new_csr.dtype)
-        in_range = pos < keys.shape[0]
-        hit = np.zeros(want.shape[0], dtype=bool)
-        hit[in_range] = keys[pos[in_range]] == want[in_range]
-        values[hit] = new_csr.data[pos[hit]]
+        values = np.zeros(rows.shape[0], dtype=new_csr.dtype)
+        values[hit] = new_csr.data[pos[at[hit]]]
         data[diag_slot, rows] = values
     return DIAMatrix._from_validated(
-        operand.offsets.copy(), data, new_csr.shape
+        offsets.copy(), data, new_csr.shape, new_counts
     )
 
 

@@ -14,7 +14,7 @@ captured by the ``ER_DIA`` and ``NTdiags_ratio`` features.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ class DIAMatrix(SparseMatrix):
         offsets: np.ndarray,
         data: np.ndarray,
         shape: Tuple[int, int],
+        entry_counts: Optional[np.ndarray] = None,
     ) -> None:
         data = np.asarray(data)
         super().__init__(shape, data.dtype)
@@ -49,9 +50,20 @@ class DIAMatrix(SparseMatrix):
                 f"DIA stride must equal n_rows={self.n_rows}, "
                 f"got {data.shape[1]}"
             )
+        if entry_counts is not None:
+            entry_counts = check_1d(
+                "entry_counts", np.asarray(entry_counts, dtype=INDEX_DTYPE)
+            )
+            if entry_counts.shape != offsets.shape:
+                raise FormatError(
+                    f"entry_counts has {entry_counts.shape[0]} diagonals "
+                    f"but offsets has {offsets.shape[0]}"
+                )
         if offsets.size and np.any(np.diff(offsets) <= 0):
             order = np.argsort(offsets)
             offsets, data = offsets[order], data[order]
+            if entry_counts is not None:
+                entry_counts = entry_counts[order]
         lo, hi = -self.n_rows + 1, self.n_cols - 1
         if offsets.size and (offsets[0] < lo or offsets[-1] > hi):
             raise FormatError(
@@ -60,6 +72,11 @@ class DIAMatrix(SparseMatrix):
             )
         self.offsets = offsets
         self.data = data
+        #: Stored CSR entries per diagonal (explicit zeros included), as
+        #: recorded by conversion; ``None`` when the operand was built
+        #: some other way.  Lets a structure delta prove the diagonal
+        #: set unchanged from its own edits instead of rescanning.
+        self.entry_counts = entry_counts
 
     @classmethod
     def _from_validated(
@@ -67,19 +84,22 @@ class DIAMatrix(SparseMatrix):
         offsets: np.ndarray,
         data: np.ndarray,
         shape: Tuple[int, int],
+        entry_counts: np.ndarray,
     ) -> "DIAMatrix":
         """Internal: adopt an already-canonical diagonal store unchecked.
 
         Only the delta-patch path uses this — ``offsets`` is a copy of an
-        existing validated operand's (already sorted, already in range)
-        and ``data`` differs from its store at the touched coordinates
-        only, so re-running the constructor's checks would be pure
-        overhead on what is meant to be an O(delta) operation.
+        existing validated operand's (already sorted, already in range),
+        ``data`` differs from its store at the touched coordinates only,
+        and ``entry_counts`` is its census moved by the delta, so
+        re-running the constructor's checks would be pure overhead on
+        what is meant to be an O(delta) operation.
         """
         out = cls.__new__(cls)
         SparseMatrix.__init__(out, shape, data.dtype)
         out.offsets = offsets
         out.data = data
+        out.entry_counts = entry_counts
         return out
 
     @classmethod
@@ -99,23 +119,27 @@ class DIAMatrix(SparseMatrix):
         return cls(offsets.astype(INDEX_DTYPE), data, dense.shape)
 
     def _refresh_values(self, csr) -> "DIAMatrix":
+        # The plan is each CSR entry's flat slot in the (diagonal, row)
+        # store, so a refresh is one 1-D scatter.
         plan = getattr(self, "_refresh_plan", None)
         if plan is None:
             row_of = np.repeat(
                 np.arange(csr.n_rows, dtype=INDEX_DTYPE), csr.row_degrees()
             )
-            diag_slot = np.searchsorted(self.offsets, csr.indices - row_of)
-            plan = (diag_slot, row_of)
+            plan = (
+                np.searchsorted(self.offsets, csr.indices - row_of)
+                * self.n_rows
+                + row_of
+            )
             self._refresh_plan = plan
-        diag_slot, row_of = plan
-        if row_of.shape[0] != csr.nnz:
+        if plan.shape[0] != csr.nnz:
             raise FormatError(
                 f"refresh_values nnz mismatch: source has {csr.nnz}, "
-                f"stored structure scatters {row_of.shape[0]}"
+                f"stored structure scatters {plan.shape[0]}"
             )
-        data = np.zeros_like(self.data)
-        data[diag_slot, row_of] = csr.data
-        out = DIAMatrix(self.offsets, data, self.shape)
+        data = np.zeros(self.data.shape, dtype=self.data.dtype)
+        data.reshape(-1)[plan] = csr.data
+        out = DIAMatrix(self.offsets, data, self.shape, self.entry_counts)
         out._refresh_plan = plan
         return out
 

@@ -25,8 +25,9 @@ import json
 import os
 import platform
 import sys
+import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from repro.features.extract import (
 from repro.features.incremental import DeltaFeatures
 from repro.formats import reference
 from repro.formats.delta import (
-    DeltaEffect,
     StructureDelta,
     apply_delta,
     patch_operand,
@@ -58,6 +58,7 @@ from repro.kernels.spmm import csr_spmm, dia_spmm, ell_spmm
 from repro.kernels.strategies import Strategy, strategy_set
 from repro.machine import SimulatedBackend
 from repro.machine import platform as machine_platform
+from repro.serve import ServeConfig, ServingEngine
 from repro.tuner.runtime import _model_walk, cascade_select, full_select
 from repro.tuner.smat import SMAT
 from repro.types import INDEX_DTYPE, FormatName
@@ -99,6 +100,25 @@ GATED_OPS = (
     "plan/delta_update",
     "tune/cascade_overhead",
 )
+
+#: Engine-level structure delta: ``ServingEngine.apply_structure_delta``
+#: (maintained features, resident plan) against a cold build-and-serve
+#: of the same post-delta matrix on a fresh engine, on a banded operator
+#: and a power-law graph.  Both ratios are gated at this fixed floor, on
+#: these suites only (the smoke matrices are small enough that per-call
+#: constants, not the delta machinery, decide the ratio).  The floor is
+#: below 1 because a delta hashes two whole matrices (the pre-delta key
+#: and the post-delta key) where a cold build hashes one: on a 2-core
+#: host those two BLAKE2b passes are 12-16 ms of a ~20 ms banded delta.
+#: Measured there (quick suite): 0.92-1.05x banded and 0.90-1.20x
+#: power-law, against 0.73-0.91x and 0.34-0.40x for the whole-matrix
+#: census, splice and patch check this floor guards against.
+DELTA_ENGINE_FLOOR = 0.75
+DELTA_ENGINE_GATED_SUITES = ("quick", "full")
+
+#: Structural edits per engine-level delta, as a fraction of nnz (the
+#: serving benchmark's churn rate).
+DELTA_ENGINE_FRACTION = 0.002
 
 #: Each gated op records its speedup under one of these keys; the gate
 #: accepts whichever is present.
@@ -231,6 +251,103 @@ def _churn_delta(
         delete_rows=np.asarray(del_rows, dtype=INDEX_DTYPE),
         delete_cols=np.asarray(del_cols, dtype=INDEX_DTYPE),
     )
+
+
+def _swap_delta(
+    matrix: CSRMatrix,
+    rng: np.random.Generator,
+    edits: int,
+    in_band: bool,
+) -> Tuple[StructureDelta, StructureDelta]:
+    """A delta that deletes ``edits // 2`` stored entries and inserts as
+    many at empty coordinates, plus its exact inverse.
+
+    ``in_band`` draws the inserts from the matrix's existing diagonals
+    (a banded operator keeps its diagonal set); otherwise they land
+    anywhere (new graph edges).
+    """
+    m, n = matrix.shape
+    half = max(1, edits // 2)
+    row_of = np.repeat(np.arange(m, dtype=INDEX_DTYPE), matrix.row_degrees())
+    keys = row_of * n + matrix.indices
+    picks = np.sort(rng.choice(matrix.nnz, size=half, replace=False))
+    rows = rng.integers(0, m, size=16 * half)
+    if in_band:
+        cols = rows + rng.choice(matrix.diagonal_offsets(), size=rows.size)
+    else:
+        cols = rng.integers(0, n, size=rows.size)
+    inside = (cols >= 0) & (cols < n)
+    fresh = rows[inside] * n + cols[inside]
+    at = np.minimum(np.searchsorted(keys, fresh), keys.size - 1)
+    fresh = fresh[keys[at] != fresh]
+    _, first = np.unique(fresh, return_index=True)
+    fresh = fresh[np.sort(first)][:half]
+    forward = StructureDelta(
+        insert_rows=fresh // n,
+        insert_cols=fresh % n,
+        insert_vals=rng.standard_normal(fresh.size),
+        delete_rows=row_of[picks],
+        delete_cols=matrix.indices[picks].copy(),
+    )
+    inverse = StructureDelta(
+        insert_rows=row_of[picks],
+        insert_cols=matrix.indices[picks].copy(),
+        insert_vals=matrix.data[picks].copy(),
+        delete_rows=fresh // n,
+        delete_cols=fresh % n,
+    )
+    return forward, inverse
+
+
+def _delta_engine_case(
+    smat: SMAT, matrix: CSRMatrix, in_band: bool, repeats: int, seed: int
+) -> Dict[str, object]:
+    """Engine-level delta vs a cold build-and-serve, on one matrix.
+
+    The delta side walks the forward delta and its inverse in turn on a
+    served matrix with maintained features, so every timed call is one
+    real migration; the cold side serves the post-delta matrix once on
+    a fresh engine per repeat (engine start-up and shutdown are not
+    timed).
+    """
+    rng = np.random.default_rng(seed)
+    forward, inverse = _swap_delta(
+        matrix, rng, max(4, int(DELTA_ENGINE_FRACTION * matrix.nnz)),
+        in_band,
+    )
+    post, _ = apply_delta(matrix, forward)
+    x = np.ones(matrix.n_cols, dtype=matrix.dtype)
+    config = ServeConfig(workers=1)
+    policies: List[str] = []
+    with ServingEngine(smat, config) as engine:
+        engine.spmv(matrix, x)
+        features = DeltaFeatures(matrix)
+        state = [matrix, 0]
+
+        def step():
+            current, flip = state
+            outcome = engine.apply_structure_delta(
+                current, (forward, inverse)[flip], features=features
+            )
+            state[:] = [outcome.matrix, flip ^ 1]
+            policies.append(outcome.policy)
+
+        delta_s = _time(step, 2 * repeats + 1, warmup=2)
+    cold: List[float] = []
+    for _ in range(2 * repeats + 1):
+        with ServingEngine(smat, config) as fresh_engine:
+            started = time.perf_counter()
+            fresh_engine.spmv(post, x)
+            cold.append(time.perf_counter() - started)
+    cold_s = float(np.median(cold))
+    return {
+        "median_s": delta_s,
+        "cold_median_s": cold_s,
+        "speedup_vs_cold_build": cold_s / delta_s if delta_s > 0 else 0.0,
+        "nnz": int(matrix.nnz),
+        "edits": int(forward.size),
+        "policies": sorted(set(policies)),
+    }
 
 
 def run_suite(
@@ -430,15 +547,7 @@ def run_suite(
     ell_donor, _ = csr_to_ell(churn_base, fill_budget=None)
     delta_feats = DeltaFeatures(churn_base)
     delta_csr, delta_effect = apply_delta(churn_base, delta)
-    inverse_effect = DeltaEffect(
-        shape=delta_effect.shape,
-        added_rows=delta_effect.removed_rows,
-        added_cols=delta_effect.removed_cols,
-        removed_rows=delta_effect.added_rows,
-        removed_cols=delta_effect.added_cols,
-        updated_rows=delta_effect.updated_rows,
-        updated_cols=delta_effect.updated_cols,
-    )
+    inverse_effect = delta_effect.inverse()
     patched = patch_operand(ell_donor, delta_csr, delta_effect)
     rebuilt, _ = csr_to_ell(delta_csr, fill_budget=None)
     mismatches = sum(
@@ -491,6 +600,28 @@ def run_suite(
         "policy": patched.mode,
         "mismatches": int(mismatches),
         "format_regressions": format_regressions,
+    }
+
+    # -- engine-level delta: apply_structure_delta vs a cold build ------
+    # What a caller of the serving engine waits for, end to end: both
+    # fingerprints, the CSR splice, feature upkeep, the re-decision and
+    # the operand migration, against building and serving the same
+    # post-delta matrix from nothing.  One banded operator (inserts stay
+    # on its diagonals) and one power-law graph (inserts anywhere).
+    banded_case = _delta_engine_case(
+        smat,
+        banded.banded_matrix(
+            *DELTA_SIZES[suite], occupancy=0.9, seed=seed
+        ),
+        True, repeats, seed + 23,
+    )
+    power_case = _delta_engine_case(smat, power, False, repeats, seed + 29)
+    ops["plan/delta_engine"] = {
+        "median_s": banded_case["median_s"],
+        "cold_median_s": banded_case["cold_median_s"],
+        "speedup_vs_cold_build": banded_case["speedup_vs_cold_build"],
+        "banded": banded_case,
+        "powerlaw": power_case,
     }
 
     # -- per-format SpMV: vectorized kernels vs the *_basic loops -------
@@ -687,6 +818,17 @@ def check_speedups(
                 f"'{delta.get('policy')}' path — the benchmark delta "
                 "must exercise the in-place patch"
             )
+    engine = ops.get("plan/delta_engine") or {}
+    if report.get("suite") in DELTA_ENGINE_GATED_SUITES:
+        for family in ("banded", "powerlaw"):
+            case = engine.get(family) or {}
+            speedup = float(case.get("speedup_vs_cold_build", 0.0))
+            if speedup < DELTA_ENGINE_FLOOR:
+                failures.append(
+                    f"plan/delta_engine: {family} delta {speedup:.2f}x vs "
+                    f"a cold build-and-serve < required "
+                    f"{DELTA_ENGINE_FLOOR:.2f}x (fixed engine-delta floor)"
+                )
     cascade = ops.get("tune/cascade_overhead")
     if cascade is not None and int(cascade.get("quality_regressions", 1)):
         failures.append(
@@ -772,6 +914,9 @@ def format_report(report: Dict[str, object]) -> str:
         elif "retune_median_s" in entry:
             loop = _fmt_seconds(float(entry["retune_median_s"]))
             speed = f"{float(entry['speedup_vs_retune']):.1f}x"
+        elif "cold_median_s" in entry:
+            loop = _fmt_seconds(float(entry["cold_median_s"]))
+            speed = f"{float(entry['speedup_vs_cold_build']):.2f}x"
         elif "full_median_s" in entry:
             loop = _fmt_seconds(float(entry["full_median_s"]))
             speed = f"{float(entry['speedup_vs_full_extraction']):.1f}x"

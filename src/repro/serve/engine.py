@@ -1040,7 +1040,9 @@ class ServingEngine:
 
         Returns the post-delta matrix (the caller must submit with it
         from now on) plus what happened.  ``features``, when given, is
-        advanced in place so the caller's maintenance stays attached.
+        advanced in place so the caller's maintenance stays attached;
+        if the migration raises (a failed retune), it is rolled back and
+        still describes the pre-delta matrix the caller holds.
         """
         started = time.perf_counter()
         old_key = _fingerprint(matrix)
@@ -1048,74 +1050,95 @@ class ServingEngine:
             new_csr, effect = apply_delta(matrix, delta)
             if features is not None:
                 features.apply(effect)
-            new_key = _fingerprint(new_csr)
-            old_plan = self.cache.get(old_key, record_stats=False)
-            if self.cache.invalidate(old_key):
-                self.metrics.counter("plans_invalidated").inc()
-            self.metrics.counter("deltas_applied").inc()
-            ratio = effect.structural_size / max(matrix.nnz, 1)
-            old_format = (
-                old_plan.decision.format_name if old_plan is not None else None
-            )
-            plan = None
+            try:
+                return self._migrate_delta(
+                    matrix, new_csr, effect, features, old_key, started
+                )
+            except BaseException:
+                if features is not None:
+                    # No commit: the caller keeps the pre-delta matrix,
+                    # so its features must describe that matrix again.
+                    features.apply(effect.inverse())
+                raise
+
+    def _migrate_delta(
+        self,
+        matrix: CSRMatrix,
+        new_csr: CSRMatrix,
+        effect: DeltaEffect,
+        features: Optional[DeltaFeatures],
+        old_key: Fingerprint,
+        started: float,
+    ) -> DeltaOutcome:
+        """Retire the pre-delta plan and install the migrated one."""
+        new_key = _fingerprint(new_csr)
+        old_plan = self.cache.get(old_key, record_stats=False)
+        if self.cache.invalidate(old_key):
+            self.metrics.counter("plans_invalidated").inc()
+        self.metrics.counter("deltas_applied").inc()
+        ratio = effect.structural_size / max(matrix.nnz, 1)
+        old_format = (
+            old_plan.decision.format_name if old_plan is not None else None
+        )
+        plan = None
+        policy = "retune"
+        stage: Optional[str] = None
+        if (
+            old_plan is not None
+            and not old_plan.provisional
+            and ratio <= self.config.delta_patch_max_ratio
+        ):
+            redecision = self._delta_redecision(new_csr, features)
+            if redecision is not None:
+                fmt, stage = redecision
+                if fmt is old_plan.decision.format_name:
+                    try:
+                        result = patch_operand(
+                            old_plan.decision.matrix, new_csr, effect
+                        )
+                    except Exception:
+                        result = None  # patch failed → full retune
+                    if result is not None:
+                        policy = (
+                            "patch"
+                            if result.mode == "patched"
+                            else "refresh"
+                        )
+                        plan = CachedPlan(
+                            key=new_key,
+                            decision=replace(
+                                old_plan.decision, matrix=result.matrix
+                            ),
+                            matrix_bytes=result.matrix.memory_bytes(),
+                        )
+        if plan is None:
             policy = "retune"
-            stage: Optional[str] = None
-            if (
-                old_plan is not None
-                and not old_plan.provisional
-                and ratio <= self.config.delta_patch_max_ratio
-            ):
-                redecision = self._delta_redecision(new_csr, features)
-                if redecision is not None:
-                    fmt, stage = redecision
-                    if fmt is old_plan.decision.format_name:
-                        try:
-                            result = patch_operand(
-                                old_plan.decision.matrix, new_csr, effect
-                            )
-                        except Exception:
-                            result = None  # patch failed → full retune
-                        if result is not None:
-                            policy = (
-                                "patch"
-                                if result.mode == "patched"
-                                else "refresh"
-                            )
-                            plan = CachedPlan(
-                                key=new_key,
-                                decision=replace(
-                                    old_plan.decision, matrix=result.matrix
-                                ),
-                                matrix_bytes=result.matrix.memory_bytes(),
-                            )
-            if plan is None:
-                policy = "retune"
-                plan = self._build_plan(new_key, new_csr)
-            self.metrics.counter(
-                {
-                    "patch": "delta_patches",
-                    "refresh": "delta_refreshes",
-                    "retune": "delta_retunes",
-                }[policy]
-            ).inc()
-            if self.cache.put(plan):
-                self.metrics.counter("plans_cached").inc()
-            else:
-                self.metrics.counter("plans_uncacheable").inc()
-            seconds = time.perf_counter() - started
-            self.metrics.histogram("delta_apply_seconds").observe(seconds)
-            self._update_gauges()
-            return DeltaOutcome(
-                matrix=new_csr,
-                fingerprint=new_key,
-                old_fingerprint=old_key,
-                policy=policy,
-                old_format=old_format,
-                new_format=plan.decision.format_name,
-                delta_ratio=float(ratio),
-                redecision_stage=stage,
-                seconds=seconds,
-            )
+            plan = self._build_plan(new_key, new_csr)
+        self.metrics.counter(
+            {
+                "patch": "delta_patches",
+                "refresh": "delta_refreshes",
+                "retune": "delta_retunes",
+            }[policy]
+        ).inc()
+        if self.cache.put(plan):
+            self.metrics.counter("plans_cached").inc()
+        else:
+            self.metrics.counter("plans_uncacheable").inc()
+        seconds = time.perf_counter() - started
+        self.metrics.histogram("delta_apply_seconds").observe(seconds)
+        self._update_gauges()
+        return DeltaOutcome(
+            matrix=new_csr,
+            fingerprint=new_key,
+            old_fingerprint=old_key,
+            policy=policy,
+            old_format=old_format,
+            new_format=plan.decision.format_name,
+            delta_ratio=float(ratio),
+            redecision_stage=stage,
+            seconds=seconds,
+        )
 
     def _delta_redecision(
         self, new_csr: CSRMatrix, features: Optional[DeltaFeatures]

@@ -82,11 +82,9 @@ def fingerprint(matrix: CSRMatrix) -> Fingerprint:
     yields both the value-inclusive tier-1 key and the structure-only
     tier-2 key.
     """
-    h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    h.update(np.ascontiguousarray(matrix.ptr).tobytes())
-    h.update(np.ascontiguousarray(matrix.indices).tobytes())
+    h = _structure_hash(matrix)
     structural = h.copy()
-    h.update(np.ascontiguousarray(matrix.data).tobytes())
+    h.update(np.ascontiguousarray(matrix.data))
     return Fingerprint(
         shape=matrix.shape,
         nnz=matrix.nnz,
@@ -105,7 +103,18 @@ def structural_digest(matrix: CSRMatrix) -> str:
     :func:`fingerprint` computes the identical digest as a by-product
     (``fingerprint(m).structural == structural_digest(m)``).
     """
+    return _structure_hash(matrix).hexdigest()
+
+
+def _structure_hash(matrix: CSRMatrix) -> "hashlib.blake2b":
+    """BLAKE2b state after ptr and indices.
+
+    The arrays reach the hash through the buffer protocol, so a
+    contiguous array (the canonical CSR case) is read in place rather
+    than copied by ``.tobytes()``; only a strided view is compacted
+    first.  The bytes hashed, and so the digests, are the same.
+    """
     h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
-    h.update(np.ascontiguousarray(matrix.ptr).tobytes())
-    h.update(np.ascontiguousarray(matrix.indices).tobytes())
-    return h.hexdigest()
+    h.update(np.ascontiguousarray(matrix.ptr))
+    h.update(np.ascontiguousarray(matrix.indices))
+    return h

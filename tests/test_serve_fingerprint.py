@@ -73,3 +73,47 @@ class TestStructuralDigest:
         moved[3, 0] = 1.0
         b = CSRMatrix.from_dense(moved)
         assert structural_digest(a) != structural_digest(b)
+
+
+def _tobytes_digests(matrix: CSRMatrix) -> tuple:
+    """(value digest, structural digest) through ``.tobytes()`` copies —
+    the byte stream the buffer-protocol hashing must reproduce."""
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=16)
+    h.update(np.ascontiguousarray(matrix.ptr).tobytes())
+    h.update(np.ascontiguousarray(matrix.indices).tobytes())
+    structural = h.hexdigest()
+    h.update(np.ascontiguousarray(matrix.data).tobytes())
+    return h.hexdigest(), structural
+
+
+class TestCopyFreeHashing:
+    def test_digests_match_tobytes(self, rng) -> None:
+        for matrix in (
+            random_csr(rng, n_rows=60, n_cols=50),
+            random_csr(rng, n_rows=7, n_cols=9, dtype=np.float32),
+            CSRMatrix.from_dense(np.zeros((3, 4))),
+        ):
+            digest, structural = _tobytes_digests(matrix)
+            fp = fingerprint(matrix)
+            assert fp.digest == digest
+            assert fp.structural == structural == structural_digest(matrix)
+
+    def test_non_contiguous_views_hash_their_values(self, rng) -> None:
+        base = random_csr(rng, n_rows=30, n_cols=30)
+        # Every array a strided view into a twice-as-long buffer.
+        def strided(a: np.ndarray) -> np.ndarray:
+            wide = np.zeros(2 * a.shape[0], dtype=a.dtype)
+            wide[::2] = a
+            return wide[::2]
+
+        view = CSRMatrix._from_validated(
+            strided(base.ptr), strided(base.indices), strided(base.data),
+            base.shape,
+        )
+        assert not view.data.flags.c_contiguous
+        assert fingerprint(view) == fingerprint(base)
+        digest, structural = _tobytes_digests(view)
+        assert fingerprint(view).digest == digest
+        assert structural_digest(view) == structural
